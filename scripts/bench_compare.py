@@ -731,13 +731,31 @@ def oracle_smoke(profile: str, repeats: int) -> int:
     return 0
 
 
-def codec_smoke(profile: str, repeats: int, write: bool = True) -> int:
-    """The wire-codec rewrite's acceptance gate, in three steps:
+#: Step 1 of the codec gate: each measured metric must reach, after
+#: host-speed normalisation, the figure stored under ``codec.floors`` in
+#: ``BENCH_hotpath.json`` by the last revision that still had the
+#: codec's value memos and lazy rdata views.  The corpus decode now
+#: materialises every rdata, so it is held to that revision's decode
+#: plus hydrate figure: a scan touches 99.9% of records.
+CODEC_FLOORS = (
+    ("codec_corpus_decode_cold_per_s", "corpus_hydrate_per_s", "corpus decode"),
+    ("codec_trace_decode_per_s", "trace_decode_per_s", "trace decode"),
+    ("codec_trace_encode_per_s", "trace_encode_per_s", "trace encode"),
+)
 
-    1. **Throughput floors** — the hot-path codec microbenchmark,
-       host-speed normalised against the stored ``baseline`` section,
-       must show decode at ≥5x and encode at ≥2x the pre-rewrite
-       figures (the flat-scan/lazy/memo rewrite's headline claim);
+#: Best-of-N for the codec floors: the stored figures are best of 3,
+#: so the measured side gets at least as many tries.
+CODEC_FLOOR_RUNS = 3
+
+
+def codec_smoke(profile: str, repeats: int, write: bool = True) -> int:
+    """The wire-codec acceptance gate, in three steps:
+
+    1. **Throughput floors** — cold decode of the synthetic corpus, and
+       decode and encode of the packets a fixed-seed wire-mode smoke
+       scan exchanges, best of N and host-speed normalised, must each
+       reach the figure stored under ``codec.floors`` (no derate; see
+       :data:`CODEC_FLOORS`);
     2. **Behaviour fingerprints** — fig1/fig2/table2-shaped smoke scans
        run under ``wire_mode="always"`` (every packet crosses the
        codec) must produce virtual-time fingerprints identical to the
@@ -754,47 +772,44 @@ def codec_smoke(profile: str, repeats: int, write: bool = True) -> int:
     Returns a process exit status (0 = gate passes).
     """
     import bench_codec
-    from bench_wallclock_hotpath import _HostSpeed, bench_codec as bench_codec_hotpath
+    from bench_wallclock_hotpath import _HostSpeed
     from bench_wallclock_hotpath import PROFILES, bench_e2e
 
     stored = json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists() else {}
     baseline = stored.get("baseline", {})
     base_spin = baseline.get("_host_spin_per_s")
-    base_decode = baseline.get("codec_decode_per_s")
-    base_encode = baseline.get("codec_encode_per_s")
-    if not (base_spin and base_decode and base_encode):
-        print("FAIL: no stored baseline codec numbers to compare against")
+    floors = stored.get("codec", {}).get("floors", {})
+    if not (base_spin and floors.get("_host_spin_per_s")):
+        print("FAIL: no stored baseline or codec floor figures to compare against")
         return 1
 
-    # 1) throughput floors, spin-calibrated against the baseline's host window
+    # 1) throughput floors, spin-calibrated against the floors' host window
     host = _HostSpeed()
+    corpus_profile = profile if profile in bench_codec.PROFILES else "check"
+    packets = bench_codec.capture_smoke_trace()
     runs = []
-    iters = PROFILES[profile]["codec_iters"]
-    for i in range(repeats):
-        print(f"codec floors pass {i + 1}/{repeats} ...")
+    for i in range(max(repeats, CODEC_FLOOR_RUNS)):
+        print(f"codec floors pass {i + 1} ...")
         host.sample()
-        runs.append(bench_codec_hotpath(iters))
+        run = bench_codec.bench_codec_corpus(corpus_profile)
+        run.update(bench_codec.bench_codec_trace(corpus_profile, packets))
+        runs.append(run)
         host.sample()
-    decode = max(run["codec_decode_per_s"] for run in runs)
-    encode = max(run["codec_encode_per_s"] for run in runs)
-    load = host.median() / base_spin
-    decode_x = decode / load / base_decode
-    encode_x = encode / load / base_encode
-    print(f"  decode                      {decode:>10,} msgs/s  "
-          f"({decode_x:.1f}x baseline, host-speed x{load:.2f}, floor 5x)")
-    print(f"  encode                      {encode:>10,} msgs/s  "
-          f"({encode_x:.1f}x baseline, floor 2x)")
+    measured = {key: max(run[key] for run in runs) for key in runs[0]}
+    print("\n".join(bench_codec.metric_lines(measured)))
+    # best-of spin to match the best-of-N throughput: both estimate the
+    # host's least-contended speed (the median spin swings far more
+    # between runs than best-of-N throughput does)
+    load = max(host.samples) / floors["_host_spin_per_s"]
     status = 0
-    if decode_x < 5.0:
-        print("FAIL: codec decode below the 5x floor")
-        status = 1
-    if encode_x < 2.0:
-        print("FAIL: codec encode below the 2x floor")
-        status = 1
-
-    print("codec corpus microbenchmarks ...")
-    corpus = bench_codec.bench_codec_corpus(profile if profile in bench_codec.PROFILES else "check")
-    print("\n".join(bench_codec.metric_lines(corpus)))
+    for key, floor_key, label in CODEC_FLOORS:
+        normalised = measured[key] / load
+        floor = floors[floor_key]
+        print(f"  {label:<27} {normalised:>10,.0f} msgs/s normalised "
+              f"(host-speed x{load:.2f}, floor {floor:,})")
+        if normalised < floor:
+            print(f"FAIL: {label} below the stored floor")
+            status = 1
 
     # 2) behaviour fingerprints across the experiment shapes
     reference = stored.get("codec", {}).get("smoke_fingerprints")
@@ -844,9 +859,7 @@ def codec_smoke(profile: str, repeats: int, write: bool = True) -> int:
 
     if write and status == 0:
         section = stored.setdefault("codec", {})
-        section.update(corpus)
-        section["codec_decode_per_s"] = decode
-        section["codec_encode_per_s"] = encode
+        section.update(measured)
         section["_host_spin_per_s"] = round(host.median())
         if fresh_reference or "smoke_fingerprints" not in section:
             section["smoke_fingerprints"] = reference
@@ -1159,7 +1172,7 @@ def main(argv: list[str] | None = None) -> int:
         "--codec-smoke",
         action="store_true",
         help="wire-codec gate: decode/encode throughput floors vs the "
-        "pre-rewrite baseline, fingerprint-identical smoke scans in "
+        "pre-deletion codec's figures, fingerprint-identical smoke scans in "
         "wire vs structured mode, and an e2e wire-mode wall-clock "
         "improvement check (skips the regular suite)",
     )

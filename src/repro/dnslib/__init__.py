@@ -11,12 +11,9 @@ from .message import (
     EDNS_UDP_PAYLOAD,
     MAX_UDP_PAYLOAD,
     Flags,
-    LazyResourceRecord,
     Message,
     Question,
     ResourceRecord,
-    clear_codec_caches,
-    codec_memo_stats,
     decode_many,
 )
 from .name import Name, NameError_, name_from_ipv4_ptr
@@ -41,7 +38,6 @@ __all__ = [
     "EDNS_UDP_PAYLOAD",
     "Flags",
     "GenericRData",
-    "LazyResourceRecord",
     "MAX_UDP_PAYLOAD",
     "Message",
     "Name",
@@ -60,8 +56,6 @@ __all__ = [
     "WireReader",
     "WireWriter",
     "add_edns",
-    "clear_codec_caches",
-    "codec_memo_stats",
     "decode_many",
     "get_edns",
     "load_zone",

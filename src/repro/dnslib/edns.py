@@ -47,10 +47,15 @@ class OPT(RData):
             if reader.offset + length > end:
                 raise WireError("EDNS option overruns rdata")
             options.append(EDNSOption(code, reader.read(length)))
-        return cls(tuple(options))
+        return cls(tuple(options)) if options else _NO_OPTIONS
 
     def to_text(self) -> str:
         return " ".join(f"opt{o.code}:{o.data.hex()}" for o in self.options) or ""
+
+
+#: The option-less OPT rdata nearly every query carries, shared like
+#: the codec's other value-immutable rdata instances.
+_NO_OPTIONS = OPT()
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,9 @@ def add_edns(
         return message
     ttl = (0 << 24) | (0 << 16) | (0x8000 if dnssec_ok else 0)
     message.additionals.append(
-        ResourceRecord(Name.root(), RRType.OPT, payload_size, ttl, OPT(options))
+        ResourceRecord(
+            Name.root(), RRType.OPT, payload_size, ttl, OPT(options) if options else _NO_OPTIONS
+        )
     )
     message.invalidate_wire()
     return message

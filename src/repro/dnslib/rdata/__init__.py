@@ -83,9 +83,11 @@ class RData:
         names = _FIELD_NAMES.get(cls)
         if names is None:
             names = _field_names(cls)
-        return tuple(getattr(self, name) for name in names)
+        return tuple([getattr(self, name) for name in names])
 
     def __eq__(self, other: object) -> bool:
+        if other is self:  # decoders share instances per value
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._fields() == other._fields()

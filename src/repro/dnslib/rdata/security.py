@@ -54,6 +54,8 @@ class CAA(RData):
         end = reader.offset + rdlength
         flags = reader.read_u8()
         tag = reader.read(reader.read_u8())
+        if not tag:
+            raise WireError("CAA tag is empty")
         if reader.offset > end:
             raise WireError("CAA tag overruns rdlength")
         return cls(flags, tag, reader.read(end - reader.offset))

@@ -21,14 +21,9 @@ from .name import MAX_NAME_LENGTH, Name
 #: A compression pointer is two bytes whose top two bits are set.
 _POINTER_MASK = 0xC0
 _MAX_POINTER = 0x3FFF
-
-#: Sentinel key set in a name memo when any pointer targeted the
-#: transaction-id bytes (offsets 0-1).  Such a decode depends on the
-#: txid, so the packet must not enter txid-agnostic decode memos.
-#: Real entries are keyed on non-negative start offsets, so the
-#: sentinel can never collide with a pointer target.
-TAINT_KEY = -1
-_TAINT_ENTRY = (None, -1)
+#: Nested pointer targets a single name may chase before decode gives
+#: up on it as a loop.
+_MAX_POINTER_DEPTH = 64
 
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
@@ -66,70 +61,64 @@ def peek_header(data) -> tuple[int, int, int, int, int, int]:
 
 
 def decode_name_at(
-    data: bytes, start: int, names: dict[int, tuple[Name, int]]
+    data: bytes, start: int, names: dict[int, tuple[Name, int]], depth: int = 0
 ) -> tuple[Name, int]:
-    """Decode a possibly compressed name at ``start``, guarding against
-    pointer loops.  Returns ``(name, offset after the name at start)``
-    and memoises the result in ``names`` keyed on ``start``."""
+    """Decode a possibly compressed name at ``start``.  Returns ``(name,
+    offset after the name at start)`` and memoises the result in
+    ``names`` keyed on ``start``.
+
+    A pointer to an offset not yet in the memo decodes that target
+    first (memoising it too), so every later pointer to the same suffix
+    is one dict probe.  Pointers must point strictly backwards and may
+    nest at most :data:`_MAX_POINTER_DEPTH` deep, which bounds loops."""
     cached = names.get(start)
     if cached is not None:
         return cached
     size = len(data)
     labels: list[bytes] = []
     total = 1
-    jumps = 0
     cursor = start
-    resume: int | None = None
-    name: Name | None = None
     while True:
         if cursor >= size:
             raise WireError("name runs off end of packet")
         length = data[cursor]
-        if length & _POINTER_MASK == _POINTER_MASK:
-            if cursor + 1 >= size:
-                raise WireError("truncated compression pointer")
-            target = (length & ~_POINTER_MASK) << 8 | data[cursor + 1]
-            if resume is None:
-                resume = cursor + 2
-            if target >= cursor:
-                raise WireError("forward compression pointer")
-            if target < 2:
-                names[TAINT_KEY] = _TAINT_ENTRY
-            hit = names.get(target)
-            if hit is not None:
-                # The tail from here was already decoded (and its walk
-                # validated) — splice it instead of re-chasing.
-                tail = hit[0]
-                total += tail._wlen - 1
-                if total > MAX_NAME_LENGTH:
-                    raise WireError("decoded name too long")
-                if labels:
-                    labels.extend(tail.labels)
-                else:
-                    name = tail
-                break
-            jumps += 1
-            if jumps > 64:
-                raise WireError("compression pointer loop")
-            cursor = target
-        elif length & _POINTER_MASK:
-            raise WireError(f"reserved label type 0x{length & _POINTER_MASK:02x}")
-        elif length == 0:
-            cursor += 1
-            break
-        else:
-            if cursor + 1 + length > size:
-                raise WireError("label runs off end of packet")
-            labels.append(data[cursor + 1 : cursor + 1 + length])
-            total += length + 1
+        if length == 0:
+            end = cursor + 1
             if total > MAX_NAME_LENGTH:
                 raise WireError("decoded name too long")
-            cursor += 1 + length
-    end = resume if resume is not None else cursor
-    if name is None:
-        name = _intern_name(tuple(labels))
-    entry = (name, end)
-    names[start] = entry
+            name = _intern_name(tuple(labels))
+            break
+        if length < 0x40:
+            after = cursor + 1 + length
+            if after > size:
+                raise WireError("label runs off end of packet")
+            labels.append(data[cursor + 1 : after])
+            total += length + 1
+            cursor = after
+            continue
+        if length < _POINTER_MASK:
+            raise WireError(f"reserved label type 0x{length & _POINTER_MASK:02x}")
+        if cursor + 1 >= size:
+            raise WireError("truncated compression pointer")
+        target = (length & ~_POINTER_MASK) << 8 | data[cursor + 1]
+        if target >= cursor:
+            raise WireError("forward compression pointer")
+        hit = names.get(target)
+        if hit is None:
+            if depth >= _MAX_POINTER_DEPTH:
+                raise WireError("compression pointer loop")
+            hit = decode_name_at(data, target, names, depth + 1)
+        tail = hit[0]
+        end = cursor + 2
+        if labels:
+            total += tail._wlen - 1
+            if total > MAX_NAME_LENGTH:
+                raise WireError("decoded name too long")
+            name = _intern_name(tuple(labels) + tail.labels)
+        else:
+            name = tail
+        break
+    entry = names[start] = (name, end)
     return entry
 
 

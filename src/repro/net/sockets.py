@@ -128,6 +128,7 @@ class NetworkStats:
     server_drops: int = 0
     truncated_replies: int = 0
     wire_validations: int = 0
+    wire_decode_failures: int = 0
 
 
 @dataclass
@@ -325,15 +326,16 @@ class SimNetwork:
             return message.to_wire()
         return None
 
-    @staticmethod
-    def _maybe_unwire(wire: bytes | None, original: Message) -> Message:
+    def _maybe_unwire(self, wire: bytes | None, original: Message) -> Message:
         if wire is None:
             return original
         try:
             return Message.from_wire(wire)
         except WireError:
-            # A malformed packet a real scanner would have to tolerate.
-            return original
+            # the packet came from our own encoder one step earlier: a
+            # decode failure is a codec defect, never traffic to tolerate
+            self.stats.wire_decode_failures += 1
+            raise
 
 
 class SimUDPSocket:

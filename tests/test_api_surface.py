@@ -54,14 +54,12 @@ def test_version():
 
 
 def test_codec_exports_present():
-    """The wire-codec rewrite's public surface: batch decode, header
-    peeks, lazy views, stats, and the cache reset hook."""
+    """The wire codec's public surface: batch decode, header peeks and
+    the call counters."""
     import repro.dnslib as dnslib
 
     for name in (
         "CODEC_STATS",
-        "LazyResourceRecord",
-        "clear_codec_caches",
         "decode_many",
         "peek_header",
         "peek_txid",
@@ -69,29 +67,6 @@ def test_codec_exports_present():
     ):
         assert name in dnslib.__all__, f"repro.dnslib.__all__ missing {name}"
         assert hasattr(dnslib, name)
-
-
-def test_lazy_view_invariants():
-    """Structural invariants of the lazy record view: it *is* a
-    ResourceRecord (isinstance-based consumers keep working), rdata is
-    a cached property rather than a plain slot, and the codec stats
-    expose every counter the benchmarks read."""
-    from repro.dnslib import CODEC_STATS, LazyResourceRecord, ResourceRecord
-
-    assert issubclass(LazyResourceRecord, ResourceRecord)
-    assert isinstance(inspect.getattr_static(LazyResourceRecord, "rdata"), property)
-    # slots-only: no per-instance __dict__ to bloat million-record scans
-    assert "__slots__" in vars(LazyResourceRecord)
-    assert "__dict__" not in dir(LazyResourceRecord)
-    for counter in (
-        "decode_calls",
-        "decode_scans",
-        "encode_calls",
-        "encode_serialises",
-        "lazy_records",
-        "lazy_hydrations",
-    ):
-        assert counter in CODEC_STATS
 
 
 def test_module_registry_covers_paper_footnote():

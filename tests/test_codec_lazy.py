@@ -1,16 +1,14 @@
-"""Lazy-view, codec-stats and decode-avoidance regression tests.
+"""Eager-decode, codec-stats and decode-avoidance regression tests.
 
-The flat-scan rewrite emits :class:`LazyResourceRecord` views whose
-rdata stays raw packet bytes until first touched.  These tests pin the
-invariants the rest of the stack relies on: hydration reads from a
-private immutable buffer (copy-on-decode, so a reused receive buffer
-can never corrupt a view), the codec stats count real work, and the
-transport/simulator avoid full decodes wherever a cheap transaction-id
-peek or an abandoned future makes them pointless.
+The flat scan decodes every rdata while it walks the packet.  These
+tests pin the invariants the rest of the stack relies on: decoded
+records never alias the caller's buffer (copy-on-decode, so a reused
+receive buffer can never corrupt a record), the codec stats count real
+work and depend only on a run's own traffic, and the transport and
+simulator avoid full decodes wherever a cheap transaction-id peek or an
+abandoned future makes them pointless.
 """
 
-import copy
-import pickle
 import socket
 import threading
 
@@ -19,7 +17,7 @@ import pytest
 from repro.dnslib import (
     CODEC_STATS,
     DNSClass,
-    LazyResourceRecord,
+    EDNSOption,
     Message,
     Name,
     Question,
@@ -27,7 +25,6 @@ from repro.dnslib import (
     RRType,
     WireError,
     add_edns,
-    clear_codec_caches,
     decode_many,
     peek_header,
     peek_txid,
@@ -58,32 +55,10 @@ def _referral_wire(txid=0x4242):
     return referral, referral.to_wire()
 
 
-# -- lazy hydration ----------------------------------------------------------
-
-
-def test_lazy_records_hydrate_on_demand():
-    clear_codec_caches()
-    _, wire = _referral_wire()
-    before = dict(CODEC_STATS)
-    decoded = Message.from_wire(wire)
-    assert CODEC_STATS["decode_calls"] == before["decode_calls"] + 1
-    lazy = [r for r in decoded.records() if isinstance(r, LazyResourceRecord)]
-    # the char-string TXT answer stays a lazy view; A glue hydrates
-    # eagerly at scan time through the shared address-instance cache
-    assert len(lazy) >= 1
-    assert all(not isinstance(r, LazyResourceRecord)
-               for r in decoded.additionals if r.rrtype == RRType.A)
-    assert CODEC_STATS["lazy_records"] >= before["lazy_records"] + len(lazy)
-    assert CODEC_STATS["lazy_hydrations"] == before["lazy_hydrations"]
-    values = [record.rdata for record in lazy]
-    assert CODEC_STATS["lazy_hydrations"] == before["lazy_hydrations"] + len(lazy)
-    # a second access returns the cached value without a second hydration
-    assert [record.rdata for record in lazy] == values
-    assert CODEC_STATS["lazy_hydrations"] == before["lazy_hydrations"] + len(lazy)
+# -- eager decode ------------------------------------------------------------
 
 
 def test_hydrated_values_match_eager_construction():
-    clear_codec_caches()
     referral, wire = _referral_wire()
     decoded = Message.from_wire(wire)
     assert decoded == referral
@@ -93,10 +68,9 @@ def test_hydrated_values_match_eager_construction():
     assert txt.rdata == TXT((b"hello", b"world"))
 
 
-def test_bytearray_input_is_copied_before_lazy_views():
+def test_bytearray_input_is_copied_before_decode():
     """Scribbling over the caller's buffer after decode must not change
-    what an unhydrated record later hydrates to."""
-    clear_codec_caches()
+    the decoded records."""
     _, wire = _referral_wire()
     buffer = bytearray(wire)
     decoded = Message.from_wire(buffer)
@@ -106,23 +80,23 @@ def test_bytearray_input_is_copied_before_lazy_views():
     assert decoded.answers[0].rdata == TXT((b"hello", b"world"))
 
 
-def test_lazy_record_pickles_and_deepcopies_as_plain_record():
-    clear_codec_caches()
-    _, wire = _referral_wire()
-    record = Message.from_wire(wire).answers[0]
-    assert isinstance(record, LazyResourceRecord)
-    clone = pickle.loads(pickle.dumps(record))
-    assert clone == record
-    assert clone.rdata == TXT((b"hello", b"world"))
-    duplicate = copy.deepcopy(record)
-    assert duplicate == record
+def test_malformed_rdata_fails_the_decode():
+    """Every rdata decodes in the scan, so a malformed one (an EDNS
+    option overrunning its OPT record) rejects the packet up front
+    rather than on some later ``.rdata`` read."""
+    query = Message.make_query("opt.test", RRType.A, txid=7)
+    add_edns(query, options=(EDNSOption(10, b"cookie!!"),))
+    wire = bytearray(query.to_wire())
+    assert Message.from_wire(bytes(wire)) == query
+    wire[-10:-8] = b"\x00\x09"  # option length one past the rdata
+    with pytest.raises(WireError, match="overruns"):
+        Message.from_wire(bytes(wire))
 
 
 # -- batch decode and peeks --------------------------------------------------
 
 
 def test_decode_many_matches_individual_decodes():
-    clear_codec_caches()
     wires = [_referral_wire(txid)[1] for txid in (1, 2, 3, 4)]
     batch = decode_many(wires)
     assert batch == [Message.from_wire(w) for w in wires]
@@ -223,3 +197,61 @@ def test_wire_mode_costs_two_decodes_per_exchange():
     results = _run_wire_queries(5, latency_median=0.01, timeout=3.0)
     assert all(r is not None for r in results)
     assert CODEC_STATS["decode_calls"] == before + 10
+
+
+# -- scans: loud wire failures, traffic-only codec metrics --------------------
+
+
+def _runner(metrics=False):
+    from repro.ecosystem import EcosystemParams, build_internet
+    from repro.framework import ScanConfig, ScanRunner
+
+    internet = build_internet(params=EcosystemParams(seed=7), wire_mode="always")
+    config = ScanConfig(
+        module="A", mode="iterative", threads=50, source_prefix=28, seed=7,
+        metrics=metrics,
+    )
+    return internet, ScanRunner(internet, config)
+
+
+def _corpus(count, start):
+    from repro.workloads import DomainCorpus
+
+    return list(DomainCorpus().fqdns(count, start=start))
+
+
+def test_wire_round_trip_decode_failure_fails_the_scan(monkeypatch):
+    """The simulator decodes packets its own encoder just produced, so a
+    decode failure there is a codec defect: it is counted and raised,
+    never papered over by handing the in-memory message along."""
+    names = _corpus(20, 0)
+    internet, runner = _runner()
+    assert runner.run(names).stats.successes > 0
+    assert internet.network.stats.wire_decode_failures == 0
+
+    def broken(cls, data):
+        raise WireError("planted decode failure")
+
+    monkeypatch.setattr(Message, "from_wire", classmethod(broken))
+    internet, runner = _runner()
+    with pytest.raises(WireError, match="planted decode failure"):
+        runner.run(names)
+    assert internet.network.stats.wire_decode_failures == 1
+
+
+def test_codec_metrics_repeat_across_runs_without_reset():
+    """Two identical metered scans in one process publish identical
+    codec.* Prometheus lines, even with a scan of other names in
+    between warming every process-global codec cache."""
+    names = _corpus(120, 0)
+
+    def codec_lines():
+        report = _runner(metrics=True)[1].run(names)
+        text = report.registry.render_prometheus()
+        return [line for line in text.splitlines() if "codec_" in line]
+
+    first = codec_lines()
+    _runner()[1].run(_corpus(120, 5_000))
+    second = codec_lines()
+    assert any(line.startswith("pyzdns_codec_decode_calls") for line in first), first
+    assert first == second

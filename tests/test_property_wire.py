@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) for the wire codec."""
 
 import string
+from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dnslib import (
@@ -85,6 +86,57 @@ def test_arbitrary_bytes_never_crash_decoder(data):
         Message.from_wire(data)
     except WireError:
         pass
+
+
+@lru_cache(maxsize=1)
+def _scan_packets() -> tuple:
+    """Every packet a small fixed-seed wire-mode scan decodes: referrals,
+    glue, answers and negatives as the resolver really exchanges them."""
+    from repro.ecosystem import EcosystemParams, build_internet
+    from repro.framework import ScanConfig, ScanRunner
+    from repro.workloads import DomainCorpus
+
+    internet = build_internet(params=EcosystemParams(seed=11), wire_mode="always")
+    config = ScanConfig(module="A", mode="iterative", threads=40, seed=11)
+    packets = []
+    decode = Message.__dict__["from_wire"]
+
+    def recording(cls, data):
+        packets.append(bytes(data))
+        return decode.__func__(cls, data)
+
+    Message.from_wire = classmethod(recording)
+    try:
+        ScanRunner(internet, config).run(DomainCorpus().fqdns(60, start=0))
+    finally:
+        Message.from_wire = decode
+    return tuple(packets)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_scan_packets_decode_or_raise(data):
+    """Byte flips, truncations and splices of real scan packets: decode
+    may only raise WireError, and whatever it returns must re-encode."""
+    packets = _scan_packets()
+    packet = bytearray(data.draw(st.sampled_from(packets)))
+    kind = data.draw(st.sampled_from(("flip", "truncate", "splice")))
+    if kind == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            position = data.draw(st.integers(0, len(packet) - 1))
+            packet[position] ^= data.draw(st.integers(1, 0xFF))
+    elif kind == "truncate":
+        del packet[data.draw(st.integers(0, len(packet) - 1)):]
+    else:
+        other = data.draw(st.sampled_from(packets))
+        head = data.draw(st.integers(0, len(packet)))
+        tail = data.draw(st.integers(0, len(other)))
+        packet = packet[:head] + other[tail:]
+    try:
+        message = Message.from_wire(bytes(packet))
+    except WireError:
+        return
+    message.to_wire()
 
 
 @given(
@@ -409,7 +461,7 @@ def test_pointer_chain_depth_limits():
 
 
 def test_all_prefixes_of_rich_message():
-    """Exhaustive truncation sweep of a response exercising EDNS, lazy
+    """Exhaustive truncation sweep of a response exercising EDNS,
     char-string rdata, SOA, AAAA and CNAME: only the full packet may
     parse, and malformed slices raise WireError, never anything else."""
     from repro.dnslib import add_edns

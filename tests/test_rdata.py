@@ -144,6 +144,11 @@ class TestCAA:
         with pytest.raises(ValueError):
             CAA(0, b"", b"x")
 
+    def test_empty_tag_on_the_wire_is_a_wire_error(self):
+        # flags 0, tag length 0, value "x": malformed packet, not a crash
+        with pytest.raises(WireError):
+            CAA.from_wire(WireReader(b"\x00\x00x"), 3)
+
     def test_zdns_answer_shape(self):
         answer = CAA(0, "issue", "letsencrypt.org").zdns_answer()
         assert answer == {"flag": 0, "tag": "issue", "value": "letsencrypt.org"}
