@@ -43,13 +43,16 @@ def registered_types() -> frozenset[int]:
 #: inherit their fields), so equality must walk every class in the MRO
 #: rather than read ``self.__slots__`` directly.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+#: Per-instance caches of derived values: not part of the value, so kept
+#: out of equality, hash and repr.
+_MEMO_SLOTS = ("_hash", "_wire")
 
 
 def _field_names(cls: type) -> tuple[str, ...]:
     seen: list[str] = []
     for klass in reversed(cls.__mro__):
         for slot in klass.__dict__.get("__slots__", ()):
-            if slot != "_hash" and slot not in seen:
+            if slot not in _MEMO_SLOTS and slot not in seen:
                 seen.append(slot)
     names = tuple(seen)
     _FIELD_NAMES[cls] = names
@@ -61,8 +64,9 @@ class RData:
 
     rrtype: ClassVar[RRType]
     #: Value-immutable by convention, so the hash is computed once and
-    #: cached (encode templates hash whole record tuples per message).
-    __slots__ = ("_hash",)
+    #: cached (encode templates hash whole record tuples per message),
+    #: and so is the uncompressed wire form (see :meth:`canonical_wire`).
+    __slots__ = _MEMO_SLOTS
 
     def to_wire(self, writer: WireWriter) -> None:
         raise NotImplementedError
@@ -73,6 +77,18 @@ class RData:
 
     def to_text(self) -> str:
         raise NotImplementedError
+
+    def canonical_wire(self) -> bytes:
+        """The uncompressed wire form, as an RRSIG covers it, encoded
+        once per instance: signing and validating an RRset re-digest the
+        same shared zone records many times over."""
+        try:
+            return self._wire
+        except AttributeError:
+            writer = WireWriter(enable_compression=False)
+            self.to_wire(writer)
+            value = self._wire = writer.getvalue()
+            return value
 
     def zdns_answer(self) -> object:
         """Value placed in the ``answer`` field of ZDNS JSON output."""

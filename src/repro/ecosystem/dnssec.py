@@ -108,18 +108,10 @@ def _rrset_digest(public_key: bytes, signer: Name, records, expiration: int, inc
     h.update(int(first.rrtype).to_bytes(2, "big"))
     h.update(expiration.to_bytes(4, "big"))
     h.update(inception.to_bytes(4, "big"))
-    for wire in sorted(_rdata_wire(record) for record in records):
+    for wire in sorted(record.rdata.canonical_wire() for record in records):
         h.update(b"|")
         h.update(wire)
     return h.digest()
-
-
-def _rdata_wire(record: ResourceRecord) -> bytes:
-    from ..dnslib.wire import WireWriter
-
-    writer = WireWriter(enable_compression=False)
-    record.rdata.to_wire(writer)
-    return writer.getvalue()
 
 
 def sign_rrset(

@@ -76,7 +76,7 @@ class ScanConfig:
     server_health: bool = False
     #: Abort the scan with :class:`repro.net.HangError` if the event
     #: loop executes more than this many events (hang detection for the
-    #: chaos soak).  None (the default) keeps the unbounded hot loop.
+    #: chaos soak).  None (the default) = no budget.
     max_events: int | None = None
     #: Shadow every Kth lookup against the differential oracle
     #: (:mod:`repro.oracle`): divergences become structured output rows

@@ -31,8 +31,10 @@ a constant-factor optimisation.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
+import threading
 from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
@@ -64,6 +66,53 @@ def derive_seed(base: int, *streams: int | str) -> int:
 #: pending *and* they outnumber the live ones (asyncio uses the same
 #: strategy); below the floor, lazy pop-time dropping is cheaper.
 _COMPACTION_FLOOR = 64
+
+#: Young tracked objects (``gc.get_count()[0]``) past which a run that
+#: paused the collector runs one young collection itself.  A benchmark
+#: scan round peaks near 220k, a service universe near 19k; the ceiling
+#: only bounds garbage a long run could otherwise pile up (the
+#: control-plane thread's, say), so it sits far above both.
+_GC_YOUNG_CEILING = 1_000_000
+#: Events between two checks of the young-heap ceiling (and two
+#: charges of the ``max_events`` budget).
+_GC_CHECK_EVERY = 4096
+
+
+class _CollectorPause:
+    """Process-wide pause of Python's cyclic collector for running loops.
+
+    The first :meth:`Simulator.run` to enter switches the collector
+    off; the last to leave restores the state the first one found, so
+    nested runs (a callback driving a second simulator) and runs in
+    other threads share one pause.  A caller that had disabled the
+    collector keeps it disabled, and then no backstop collects either.
+    ``gc.freeze`` is deliberately not used: it would thaw a heap a
+    caller froze, and the automatic collector keeps its young count
+    across runs, so many short runs cannot starve it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        #: The collector was on when the pause began (and comes back on)
+        self.owned = False
+
+    def pause(self) -> None:
+        with self._lock:
+            if not self._depth:
+                self.owned = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def resume(self) -> None:
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self.owned:
+                self.owned = False
+                gc.enable()
+
+
+_collector = _CollectorPause()
 
 
 class SimulationError(RuntimeError):
@@ -133,7 +182,8 @@ class TimerHandle:
 
     Cancellation is O(1): the entry is flagged and skipped when popped
     (or swept out by a heap compaction).  Cancelling an already-fired
-    or already-cancelled handle is a no-op.
+    or already-cancelled handle is a no-op.  Firing or cancelling drops
+    ``fn``, so a handle never keeps its closure alive.
     """
 
     __slots__ = ("when", "seq", "fn", "cancelled", "finished", "_sim")
@@ -181,6 +231,10 @@ class Simulator:
         self.peak_heap_size = 0
         self.peak_ready_depth = 0
         self.heap_compactions = 0
+        # young collections run by the loop's backstop, and the objects
+        # they freed; both stay 0 while the loop makes no cycles
+        self.gc_backstop_collections = 0
+        self.gc_backstop_freed = 0
 
     # -- raw event scheduling -------------------------------------------------
 
@@ -269,6 +323,8 @@ class Simulator:
             "peak_heap_size": self.peak_heap_size,
             "peak_ready_depth": self.peak_ready_depth,
             "heap_compactions": self.heap_compactions,
+            "gc_backstop_collections": self.gc_backstop_collections,
+            "gc_backstop_freed": self.gc_backstop_freed,
         }
 
     def publish_metrics(self, scope) -> None:
@@ -342,103 +398,94 @@ class Simulator:
 
         ``max_events`` bounds the number of callbacks executed and
         raises :class:`HangError` past it — the chaos-soak harness's
-        hang detector.  The bounded path is a separate loop so the
-        unbounded hot path pays nothing for the feature."""
-        if max_events is not None:
-            return self._run_bounded(until, max_events)
+        hang detector.
+
+        The loop owns garbage collection while it runs: Python's cyclic
+        collector is paused (see :class:`_CollectorPause`) because the
+        loop makes no reference cycles, and re-walking the in-flight
+        state of thousands of routines on every young collection is
+        pure overhead.  A fired timer drops its callback, as a cancelled
+        one does, so a ``timeout_race`` leaves no cycle behind.  Every
+        ``_GC_CHECK_EVERY`` events a countdown checkpoint charges the
+        event budget and runs the young-heap backstop."""
         heap = self._heap
         ready = self._ready
         pop_heap = heapq.heappop
         handle_type = TimerHandle
-        while True:
-            # drop cancelled timers surfacing at the top of the heap
-            while heap:
-                top = heap[0][2]
-                if type(top) is handle_type and top.cancelled:
-                    pop_heap(heap)
-                    if self._cancelled_pending:
-                        self._cancelled_pending -= 1
+        # events the current countdown stretch may still run, and the
+        # budget left beyond it (None: unbounded)
+        if max_events is None:
+            budget, left = None, _GC_CHECK_EVERY
+        else:
+            left = min(max(max_events, 0), _GC_CHECK_EVERY)
+            budget = max_events - left
+        _collector.pause()
+        try:
+            while True:
+                # drop cancelled timers surfacing at the top of the heap
+                while heap:
+                    top = heap[0][2]
+                    if type(top) is handle_type and top.cancelled:
+                        pop_heap(heap)
+                        if self._cancelled_pending:
+                            self._cancelled_pending -= 1
+                    else:
+                        break
+                if ready:
+                    seq, fn = ready[0]
+                    # a timer already due *now* with an older sequence
+                    # number must run first to preserve FIFO order
+                    # across structures
+                    if heap and heap[0][0] <= self.now and heap[0][1] < seq:
+                        fn = pop_heap(heap)[2]
+                    else:
+                        ready.popleft()
+                elif heap:
+                    when = heap[0][0]
+                    if until is not None and when > until:
+                        self.now = until
+                        return
+                    fn = pop_heap(heap)[2]
+                    self.now = when
                 else:
                     break
-            if ready:
-                seq, fn = ready[0]
-                # a timer already due *now* with an older sequence number
-                # must run first to preserve FIFO order across structures
-                if heap and heap[0][0] <= self.now and heap[0][1] < seq:
-                    fn = pop_heap(heap)[2]
-                else:
-                    ready.popleft()
-            elif heap:
-                when = heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                fn = pop_heap(heap)[2]
-                self.now = when
-            else:
-                break
-            if type(fn) is handle_type:
-                if fn.cancelled:  # cancelled while queued
-                    if self._cancelled_pending:
-                        self._cancelled_pending -= 1
-                    continue
-                fn.finished = True
-                fn = fn.fn
-            self.events_executed += 1
-            fn()
+                if type(fn) is handle_type:
+                    if fn.cancelled:  # cancelled while queued
+                        if self._cancelled_pending:
+                            self._cancelled_pending -= 1
+                        continue
+                    handle = fn
+                    fn = handle.fn
+                    handle.fn = None  # a kept closure would close a cycle
+                    handle.finished = True
+                if not left:
+                    if budget is not None:
+                        if budget <= 0:
+                            raise HangError(
+                                f"simulation still busy after {max_events} events "
+                                f"(t={self.now:.3f}s, {self.pending_events} pending, "
+                                f"{self._live_routines} live routines)"
+                            )
+                        left = min(budget, _GC_CHECK_EVERY)
+                        budget -= left
+                    else:
+                        left = _GC_CHECK_EVERY
+                    self._gc_backstop()
+                left -= 1
+                self.events_executed += 1
+                fn()
+        finally:
+            _collector.resume()
         if until is not None:
             self.now = max(self.now, until)
 
-    def _run_bounded(self, until: float | None, max_events: int) -> None:
-        """The ``run(max_events=...)`` loop: identical scheduling order,
-        plus an event budget that trips :class:`HangError`."""
-        heap = self._heap
-        ready = self._ready
-        pop_heap = heapq.heappop
-        handle_type = TimerHandle
-        budget = max_events
-        while True:
-            while heap:
-                top = heap[0][2]
-                if type(top) is handle_type and top.cancelled:
-                    pop_heap(heap)
-                    if self._cancelled_pending:
-                        self._cancelled_pending -= 1
-                else:
-                    break
-            if ready:
-                seq, fn = ready[0]
-                if heap and heap[0][0] <= self.now and heap[0][1] < seq:
-                    fn = pop_heap(heap)[2]
-                else:
-                    ready.popleft()
-            elif heap:
-                when = heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                fn = pop_heap(heap)[2]
-                self.now = when
-            else:
-                break
-            if type(fn) is handle_type:
-                if fn.cancelled:
-                    if self._cancelled_pending:
-                        self._cancelled_pending -= 1
-                    continue
-                fn.finished = True
-                fn = fn.fn
-            if budget <= 0:
-                raise HangError(
-                    f"simulation still busy after {max_events} events "
-                    f"(t={self.now:.3f}s, {self.pending_events} pending, "
-                    f"{self._live_routines} live routines)"
-                )
-            budget -= 1
-            self.events_executed += 1
-            fn()
-        if until is not None:
-            self.now = max(self.now, until)
+    def _gc_backstop(self) -> None:
+        """Bound the young heap of a long run with the collector paused:
+        past ``_GC_YOUNG_CEILING`` tracked objects, run one young
+        collection and count what it freed (0 on a cycle-free loop)."""
+        if _collector.owned and gc.get_count()[0] > _GC_YOUNG_CEILING:
+            self.gc_backstop_collections += 1
+            self.gc_backstop_freed += gc.collect(0)
 
     def run_all(self, routines: Iterable[Routine]) -> list[Any]:
         """Spawn every routine, run to completion, and return their results."""

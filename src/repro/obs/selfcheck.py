@@ -80,6 +80,10 @@ def check_scan() -> None:
         assert key in metrics, sorted(metrics)
     assert metrics["engine.lookups"] == 200, metrics["engine.lookups"]
     assert metrics["engine.inflight"] == 0, metrics["engine.inflight"]
+    # the loop makes no reference cycles, so the young-heap backstop of
+    # the paused collector never has to step in
+    for key in ("scheduler.gc_backstop_collections", "scheduler.gc_backstop_freed"):
+        assert metrics.get(key) == 0, (key, metrics.get(key))
 
     assert spans, "span sink received nothing"
     by_id = {row["id"]: row for row in spans}
